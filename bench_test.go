@@ -1,918 +1,40 @@
 package repro
 
-// One benchmark per experiment in DESIGN.md's index (E1-E16): each
-// regenerates the corresponding figure/table of the paper and asserts the
-// *shape* of the result (who wins, by what rough factor, where the
-// crossovers fall). Run all with:
+// The paper's figures and claims (E1–E16, internal/experiments) and the
+// engine benchmark registry (E17–E35, internal/bench), each with its shape
+// asserts; ARCHITECTURE.md's bench table indexes both. Run all with:
 //
 //	go test -bench=. -benchmem .
 //
-// The same experiments are available as a CLI via cmd/spfbench.
+// or one row with e.g. -bench 'Engine/E24'. The same lists back
+// cmd/spfbench: its default mode prints E1–E16, and -benchjson records
+// E17–E35 for the regression gate.
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/btreebench"
-	"repro/internal/buffer"
-	"repro/internal/enginebench"
+	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/iosim"
-	"repro/internal/maintbench"
-	"repro/internal/page"
-	"repro/internal/pagemap"
-	"repro/internal/restartbench"
-	"repro/internal/restorebench"
-	"repro/internal/serverbench"
-	"repro/internal/storage"
-	"repro/internal/wal"
-	"repro/internal/walbench"
-	"repro/spf"
 )
 
-func BenchmarkE01FailureEscalation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E01FailureEscalation(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape: at realistic database sizes, single-page recovery is
-		// orders of magnitude cheaper than the media-failure
-		// escalation, and loses only one page.
-		if res.SinglePage*100 > res.MediaAtScale {
-			b.Fatalf("single-page %v not clearly cheaper than media-at-scale %v", res.SinglePage, res.MediaAtScale)
-		}
-		if res.PagesLostSPF != 1 || res.PagesLostMedia <= 1 {
-			b.Fatalf("scope wrong: spf=%d media=%d", res.PagesLostSPF, res.PagesLostMedia)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE02FenceInvariants(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E02FenceInvariants(3000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Violations != 0 || !res.Detected {
-			b.Fatalf("violations=%d detected=%v", res.Violations, res.Detected)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE03FosterVerification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E03FosterVerification(6000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Violations != 0 {
-			b.Fatalf("violations=%d", res.Violations)
-		}
-		// Shape: splits created foster relationships and adoption
-		// drained them all.
-		if res.FostersPeak == 0 || res.FostersFinal != 0 {
-			b.Fatalf("splits=%d fosters left=%d", res.FostersPeak, res.FostersFinal)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE04RedoOptimization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E04RedoOptimization(32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape: logged completed writes reduce redo page reads.
-		if res.ReadsWith >= res.ReadsWithout {
-			b.Fatalf("redo reads with=%d not below without=%d", res.ReadsWith, res.ReadsWithout)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE05SystemTxnOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E05SystemTxnOverhead(50, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape: exactly one force per user commit; splits force nothing.
-		if res.UserForces != res.UserCommits || res.SysCommits == 0 {
-			b.Fatalf("forces=%d users=%d sys=%d", res.UserForces, res.UserCommits, res.SysCommits)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE06PerPageChain(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E06PerPageChain(30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ChainLength != 30 || !res.StaleWhileDirty || !res.CurrentAfterWrite {
-			b.Fatalf("chain=%d stale=%v current=%v", res.ChainLength, res.StaleWhileDirty, res.CurrentAfterWrite)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE07PRISize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E07PRISize([]int{1000, 10000, 100000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape: worst case near the paper's ~16 B/page; compression
-		// far below it.
-		if res.WorstBytesPerPage > 20 || res.CompressedBytesPerPage > 1 {
-			b.Fatalf("worst=%.1f compressed=%.3f", res.WorstBytesPerPage, res.CompressedBytesPerPage)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE08ReadPathDetection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E08ReadPathDetection()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for fault, ok := range res.DetectedAndRecovered {
-			if !ok {
-				b.Fatalf("fault %q not detected+recovered", fault)
-			}
-		}
-		if !res.LostWriteCaughtOnlyWithCrossCheck {
-			b.Fatal("PageLSN cross-check ablation shape wrong")
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE09RecoveryReadiness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E09RecoveryReadiness()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.EntryExact || !res.Recovered {
-			b.Fatalf("exact=%v recovered=%v", res.EntryExact, res.Recovered)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE10RecoveryLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E10RecoveryLatency([]int{1, 10, 50, 200})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape: work equals updates since backup; dozens of records
-		// stay within the paper's ~1 s expectation.
-		for _, n := range []int{1, 10, 50, 200} {
-			if res.RecordsApplied[n] != n {
-				b.Fatalf("chain %d applied %d", n, res.RecordsApplied[n])
-			}
-		}
-		if res.SimTimes[50].Seconds() > 2 {
-			b.Fatalf("50-record recovery took %v, paper expects ~1 s", res.SimTimes[50])
-		}
-		if res.SimTimes[10] >= res.SimTimes[200] {
-			b.Fatal("recovery time not increasing with chain length")
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE11UpdateSequence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E11UpdateSequence()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllSafe {
-			b.Fatal("a crash window lost a committed update")
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE12RestartActions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E12RestartActions()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.PRIRepairs == 0 {
-			b.Fatal("no lost PRI updates repaired; Fig. 12 row 3 not exercised")
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE13RecoveryTimeByClass(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E13RecoveryTimeByClass(48)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape (§6): single-page recovery is closest to transaction
-		// rollback and far below media recovery at realistic sizes.
-		if res.SinglePage >= res.MediaAtScale {
-			b.Fatalf("single-page %v not below media-at-scale %v", res.SinglePage, res.MediaAtScale)
-		}
-		if res.SinglePage.Seconds() > 2 {
-			b.Fatalf("single-page recovery %v exceeds ~1 s expectation", res.SinglePage)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE14BackupPolicySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E14BackupPolicySweep([]int{10, 50, 0}, 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape: records replayed bounded by the interval; unbounded
-		// without the policy.
-		if res.Applied[10] > 25 || res.Applied[50] > 75 {
-			b.Fatalf("policy not bounding chains: %v", res.Applied)
-		}
-		if res.Applied[0] < 250 {
-			b.Fatalf("no-policy chain should be ~300, got %d", res.Applied[0])
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE15MirrorBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E15MirrorBaseline(5000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shape: the mirror processes vastly more log than the chain
-		// walk (the paper's §2 criticism).
-		if res.MirrorBytes < 10*res.SPRBytes {
-			b.Fatalf("mirror %d bytes vs SPR %d: factor too small", res.MirrorBytes, res.SPRBytes)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-func BenchmarkE16SilentCorruption(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E16SilentCorruption(12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.DetectedOnFirstRead {
-			b.Fatal("silent corruption served wrong answers")
-		}
-		if res.RepairedOnRead == 0 || res.ColdPagesFoundByScrub == 0 {
-			b.Fatalf("hot=%d cold=%d: both detection channels must fire",
-				res.RepairedOnRead, res.ColdPagesFoundByScrub)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table.String())
-		}
-	}
-}
-
-// benchPool builds a standalone buffer pool with nPages raw pages created,
-// flushed, and (optionally) evicted, for the parallel fetch benchmarks
-// E17/E18. The returned ids are the logical page IDs in creation order.
-func benchPool(b *testing.B, capacity, nPages, slots int, hooks buffer.Hooks) (*buffer.Pool, *storage.Device, *pagemap.Map, []page.ID) {
-	b.Helper()
-	dev := storage.NewDevice(storage.Config{PageSize: 4096, Slots: slots, Profile: iosim.Instant})
-	pm := pagemap.New(pagemap.InPlace, slots)
-	log := wal.NewManager(iosim.Instant)
-	pool := buffer.NewPool(buffer.Config{Capacity: capacity, Device: dev, Map: pm, Log: log, Hooks: hooks})
-	ids := make([]page.ID, nPages)
-	for i := range ids {
-		id := pm.AllocateLogical()
-		h, err := pool.Create(id, page.TypeRaw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.Lock()
-		if err := h.Page().SetPayload([]byte(fmt.Sprintf("bench-page-%d", id))); err != nil {
-			b.Fatal(err)
-		}
-		lsn := log.Append(&wal.Record{Type: wal.TypeFormat, Txn: 1, PageID: id})
-		h.Page().SetLSN(lsn)
-		h.MarkDirty(lsn)
-		h.Unlock()
-		h.Release()
-		ids[i] = id
-	}
-	if err := pool.FlushAll(); err != nil {
-		b.Fatal(err)
-	}
-	return pool, dev, pm, ids
-}
-
-// BenchmarkE17ParallelFetchHit measures the buffer pool's hot path: all
-// pages resident, every Fetch a hit. With the sharded pool this path takes
-// no locks (sync.Map lookup + atomic pin) and performs zero allocations
-// per operation; throughput should scale with GOMAXPROCS.
-func BenchmarkE17ParallelFetchHit(b *testing.B) {
-	const nPages = 512
-	pool, _, _, ids := benchPool(b, 1024, nPages, 8192, buffer.Hooks{})
-	var worker atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(worker.Add(1)) * 7919 // stagger workers across pages
-		for pb.Next() {
-			h, err := pool.Fetch(ids[i%nPages])
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			h.Release()
-			i++
-		}
-	})
-	b.StopTimer()
-	if s := pool.Stats(); s.Misses > int64(nPages) {
-		b.Fatalf("hit benchmark missed: %+v", s)
-	}
-}
-
-// BenchmarkE18ParallelFetchMissRecover measures the validated read path
-// under eviction pressure (working set 4x the pool) with a slice of the
-// pages silently corrupted, so the run includes full Fig. 8 single-page
-// recoveries — detect, recover, relocate, retire — amid ordinary misses.
-func BenchmarkE18ParallelFetchMissRecover(b *testing.B) {
-	const (
-		nPages    = 256
-		capacity  = 64
-		corrupted = 32
-	)
-	hooks := buffer.Hooks{
-		Recover: func(id page.ID) (*page.Page, error) {
-			pg := page.New(id, page.TypeRaw, 4096)
-			if err := pg.SetPayload([]byte(fmt.Sprintf("recovered-%d", id))); err != nil {
-				return nil, err
-			}
-			return pg, nil
-		},
-	}
-	pool, dev, pm, ids := benchPool(b, capacity, nPages, 16384, hooks)
-	for _, id := range ids {
-		// Setup eviction pressure already displaced most pages; only the
-		// stragglers are still resident.
-		if err := pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < corrupted; i++ {
-		phys, ok := pm.Lookup(ids[i*(nPages/corrupted)])
-		if !ok {
-			b.Fatal("corrupt target has no slot")
-		}
-		if err := dev.CorruptStored(phys); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var worker atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(worker.Add(1)) * 6151
-		for pb.Next() {
-			h, err := pool.Fetch(ids[i%nPages])
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			h.Release()
-			i++
-		}
-	})
-	b.StopTimer()
-	if s := pool.Stats(); s.Escalations != 0 {
-		b.Fatalf("unexpected escalations: %+v", s)
-	}
-}
-
-// mutexWAL replicates the seed's single-mutex append protocol (one lock
-// around encode+copy into a growing []byte). It exists purely as the
-// before-side of BenchmarkE19ParallelAppend, so the reserve-then-fill
-// speedup stays measurable after the old code is gone.
-type mutexWAL struct {
-	mu  sync.Mutex
-	buf []byte
-}
-
-var mutexWALCRC = crc32.MakeTable(crc32.Castagnoli)
-
-func (m *mutexWAL) append(rec *wal.Record) page.LSN {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	lsn := page.LSN(len(m.buf))
-	const headerSize, trailerSize = 45, 4
-	total := headerSize + len(rec.Payload) + trailerSize
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(total))
-	hdr[4] = byte(rec.Type)
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(rec.Txn))
-	binary.LittleEndian.PutUint64(hdr[13:], uint64(rec.PrevLSN))
-	binary.LittleEndian.PutUint64(hdr[21:], uint64(rec.PageID))
-	binary.LittleEndian.PutUint64(hdr[29:], uint64(rec.PagePrevLSN))
-	binary.LittleEndian.PutUint64(hdr[37:], uint64(rec.UndoNext))
-	start := len(m.buf)
-	m.buf = append(m.buf, hdr[:]...)
-	m.buf = append(m.buf, rec.Payload...)
-	crc := crc32.Checksum(m.buf[start:], mutexWALCRC)
-	var tail [trailerSize]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	m.buf = append(m.buf, tail[:]...)
-	return lsn
-}
-
-// BenchmarkE19ParallelAppend measures WAL append throughput under
-// parallelism: the reserve-then-fill log (one atomic reservation, encode
-// outside any lock, ordered publication) against the seed's single-mutex
-// protocol. At -cpu 8 reserve-fill must be ≥2× the mutex baseline. The
-// reserve-fill driver lives in internal/walbench, shared with
-// `spfbench -benchjson`.
-func BenchmarkE19ParallelAppend(b *testing.B) {
-	b.Run("reserve-fill", walbench.ParallelAppend)
-	b.Run("mutex-baseline", func(b *testing.B) {
-		m := &mutexWAL{buf: make([]byte, 16)}
-		payload := make([]byte, walbench.AppendPayloadSize)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				m.append(&wal.Record{Type: wal.TypeUpdate, Txn: 1, PageID: 5, Payload: payload})
-			}
-		})
-	})
-}
-
-// BenchmarkE20GroupCommitThroughput measures commit throughput with many
-// concurrent committers (driver in internal/walbench, shared with
-// `spfbench -benchjson`). The grouped variants coalesce all commits
-// landing inside the window into one sequential flush; the commits/flush
-// metric reports the coalescing factor (1.0 = the seed's
-// force-per-commit).
-func BenchmarkE20GroupCommitThroughput(b *testing.B) {
-	const committers = 32
-	run := func(b *testing.B, window time.Duration) {
-		s := walbench.GroupCommit(b, window, committers)
-		if s.Flushes > 0 {
-			b.ReportMetric(float64(b.N)/float64(s.Flushes), "commits/flush")
-		}
-	}
-	b.Run("window=0", func(b *testing.B) { run(b, 0) })
-	b.Run("window=50us", func(b *testing.B) { run(b, 50*time.Microsecond) })
-	b.Run("window=500us", func(b *testing.B) { run(b, 500*time.Microsecond) })
-}
-
-// BenchmarkE21AsyncWriteBack measures dirty-page flush throughput on a hot
-// update workload (drivers in internal/maintbench, shared with `spfbench
-// -benchjson`). The sync variant is the old foreground discipline — every
-// update pays a synchronous write-back (device write + per-page PRI log
-// append) inline; the async variant marks dirty and lets the maintenance
-// flusher drain batches (grouped PRI appends, re-dirty coalescing). Both
-// end fully durable. writes/update reports the write amplification each
-// policy pays — the async coalescing is what buys the ≥2× throughput.
-func BenchmarkE21AsyncWriteBack(b *testing.B) {
-	var syncNs, asyncNs int64
-	b.Run("sync", func(b *testing.B) {
-		res := maintbench.WriteBack(b, false, 0)
-		b.ReportMetric(float64(res.DeviceWrites)/float64(res.Updates), "writes/update")
-		if b.N > 1 {
-			syncNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-		// Shape: write-through pays one device write and one PRI append
-		// per update, and nothing is grouped.
-		if res.DeviceWrites < res.Updates {
-			b.Fatalf("sync mode wrote %d pages for %d updates", res.DeviceWrites, res.Updates)
-		}
-		if res.BatchAppends != 0 {
-			b.Fatalf("sync mode used %d grouped appends", res.BatchAppends)
-		}
-	})
-	b.Run("async", func(b *testing.B) {
-		res := maintbench.WriteBack(b, true, 1)
-		b.ReportMetric(float64(res.DeviceWrites)/float64(res.Updates), "writes/update")
-		if b.N > 1 {
-			asyncNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-		if res.DeviceWrites > res.Updates {
-			b.Fatalf("async mode wrote %d pages for %d updates", res.DeviceWrites, res.Updates)
-		}
-		// Shape (only meaningful once the workload dwarfs the hot set):
-		// batching must group PRI appends and coalesce re-dirtied pages
-		// to well under half the synchronous write count.
-		if b.N >= 4096 {
-			if res.BatchAppends == 0 {
-				b.Fatal("async mode never grouped a PRI append")
-			}
-			if 2*res.DeviceWrites >= res.Updates {
-				b.Fatalf("async coalescing too weak: %d writes for %d updates",
-					res.DeviceWrites, res.Updates)
-			}
-		}
-	})
-	if syncNs > 0 && asyncNs > 0 {
-		b.Logf("foreground update latency: sync=%dns async=%dns (%.1fx)",
-			syncNs, asyncNs, float64(syncNs)/float64(asyncNs))
-	}
-}
-
-// BenchmarkE22ScrubCampaignOverhead measures what the continuous scrub
-// campaign costs foreground traffic: b.N buffer-hit fetches with the
-// campaign off (baseline) and scanning 50k pages/s with live repairs. The
-// off/on ns/op delta is the overhead; the campaign must actually make
-// progress (pages scrubbed, injected corruption repaired) for the on
-// number to mean anything.
-func BenchmarkE22ScrubCampaignOverhead(b *testing.B) {
-	b.Run("off", func(b *testing.B) {
-		maintbench.ScrubOverhead(b, 0)
-	})
-	b.Run("on", func(b *testing.B) {
-		res := maintbench.ScrubOverhead(b, 50000)
-		b.ReportMetric(float64(res.PagesScrubbed), "pages-scrubbed")
-		if res.PagesScrubbed == 0 {
-			b.Fatal("campaign made no progress during the run")
-		}
-	})
-}
-
-// BenchmarkE23ParallelTreeOps measures concurrent B-tree throughput under a
-// mixed Get/Insert/Update/Delete workload (drivers in internal/btreebench,
-// shared with `spfbench -benchjson`): the latch-coupled tree — crabbing
-// descents with shared latches, exclusive latches only at the leaf,
-// localized exclusive parent+child pairs for splits and adoptions — against
-// a tree-global-mutex baseline shim reproducing the seed's serialization.
-//
-// The disjoint shape gives each worker its own write range with reads
-// roaming a working set larger than the buffer pool, so descents regularly
-// stall on a (real, wall-clock) buffer-miss latency: under the global
-// mutex every stall serializes all workers, while latch-coupled descents
-// overlap them — at -cpu 8 latch-coupled must be ≥2× the baseline (it
-// measures an order of magnitude on the CI box). The contended shape
-// hammers one small fully-resident range — pure CPU, where a single core
-// shows parity and real cores let readers of different leaves proceed.
-func BenchmarkE23ParallelTreeOps(b *testing.B) {
-	b.Run("disjoint/latch-coupled", btreebench.ParallelOps(false, false))
-	b.Run("disjoint/global-mutex", btreebench.ParallelOps(false, true))
-	b.Run("contended/latch-coupled", btreebench.ParallelOps(true, false))
-	b.Run("contended/global-mutex", btreebench.ParallelOps(true, true))
-}
-
-// BenchmarkE28ResidentReadThroughput measures point reads against a fully
-// resident, static three-level tree (driver in internal/btreebench, shared
-// with `spfbench -benchjson`) — the regime the decoded-skeleton cache and
-// optimistic latch coupling target. The optimistic variants descend with
-// no latch at all on branch levels (route through the frame-cached
-// skeleton, validate the frame version after every step) and take only the
-// leaf's shared latch; the latched variants force the PR 4 shared-latch
-// crab on every level, kept measurable as the before-side. Run with
-// -cpu 1,8: at one core the optimistic path wins by skipping latch
-// acquire/release work; at eight its reads share no cache line at all on
-// branch levels, so the gap widens. Criterion: optimistic ≥3× the latched
-// baseline at -cpu 8, with 0 allocs/op on the hit path (GetTo into a
-// reused buffer), and hits must dwarf fallbacks on this static tree.
-func BenchmarkE28ResidentReadThroughput(b *testing.B) {
-	for _, v := range []struct {
-		name             string
-		zipf, optimistic bool
-	}{
-		{"zipfian/optimistic", true, true},
-		{"zipfian/latched", true, false},
-		{"uniform/optimistic", false, true},
-		{"uniform/latched", false, false},
-	} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			res := btreebench.ResidentReads(b, v.zipf, v.optimistic)
-			if v.optimistic && b.N > 1000 {
-				if res.Hits == 0 {
-					b.Fatal("optimistic descent never completed on a static tree")
+func BenchmarkPaper(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
 				}
-				if res.Fallbacks*100 > res.Hits {
-					b.Fatalf("fallbacks %d vs hits %d: >1%% on a static resident tree",
-						res.Fallbacks, res.Hits)
+				if i == 0 {
+					b.Log("\n" + t.String())
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkE29MixedFallback measures the E23 mixed read/write workload on
-// the latch-coupled tree with the optimistic descent on vs off (driver in
-// internal/btreebench, shared with `spfbench -benchjson`). Concurrent
-// writers bump frame versions constantly, so this is the adversarial shape
-// for optimistic readers: the criterion is that the fallback path costs no
-// more than today's pure latched descent — a failed version check wastes
-// two atomic loads and re-runs the crab, it never spins and never blocks a
-// writer.
-func BenchmarkE29MixedFallback(b *testing.B) {
-	b.Run("contended/optimistic", btreebench.MixedReadWrite(true, true))
-	b.Run("contended/latched", btreebench.MixedReadWrite(true, false))
-	b.Run("disjoint/optimistic", btreebench.MixedReadWrite(false, true))
-	b.Run("disjoint/latched", btreebench.MixedReadWrite(false, false))
-}
-
-// BenchmarkE24OnDemandRestoreLatency measures what a foreground fault
-// waits for its repair under a saturated background repair queue (driver
-// in internal/restorebench, shared with `spfbench -benchjson`) — the
-// disjoint-fault shape: every fault is a distinct page, so coalescing
-// cannot help and only queue *ordering* matters. The priority variant
-// enqueues the fault Urgent, reordering it ahead of the 64-deep backlog
-// (Sauer et al.'s instant-restore ordering); the fifo-baseline variant
-// runs the identical scheduler with the promotion disabled, so the fault
-// drains the backlog first. Criterion: the priority p99 must be ≥2x
-// better than the FIFO baseline.
-func BenchmarkE24OnDemandRestoreLatency(b *testing.B) {
-	var prio, fifo restorebench.LatencyResult
-	b.Run("priority", func(b *testing.B) {
-		prio = restorebench.OnDemandLatency(b, false)
-		b.ReportMetric(float64(prio.P99.Nanoseconds()), "p99-ns")
-	})
-	b.Run("fifo-baseline", func(b *testing.B) {
-		fifo = restorebench.OnDemandLatency(b, true)
-		b.ReportMetric(float64(fifo.P99.Nanoseconds()), "p99-ns")
-	})
-	// Shape only meaningful once both variants measured real tails.
-	if prio.Urgents >= 32 && fifo.Urgents >= 32 {
-		if fifo.P99 < 2*prio.P99 {
-			b.Fatalf("urgent promotion p99 %v not >=2x better than FIFO baseline p99 %v",
-				prio.P99, fifo.P99)
-		}
-		b.Logf("p99: priority=%v fifo=%v (%.1fx)", prio.P99, fifo.P99,
-			float64(fifo.P99)/float64(prio.P99))
-	}
-}
-
-// BenchmarkE25MediaRecoveryAvailability measures reads served *during*
-// media recovery (driver in internal/restorebench): fail the device,
-// prepare instant restore, and hammer foreground reads while a single
-// background worker grinds through the bulk restore. The bulk baseline
-// serves zero reads before the restore completes; the instant-restore
-// shape must complete reads while pages are still pending, with the first
-// read far below the full drain time.
-func BenchmarkE25MediaRecoveryAvailability(b *testing.B) {
-	res := restorebench.MediaAvailability(b)
-	b.ReportMetric(float64(res.ReadsBeforeDrain), "reads-before-drain")
-	b.ReportMetric(float64(res.FirstReadNs), "first-read-ns")
-	if res.ReadsBeforeDrain == 0 {
-		b.Fatalf("no reads completed before the bulk restore drained: %+v", res)
-	}
-	if res.FirstReadNs >= res.DrainNs {
-		b.Fatalf("first read (%dns) not faster than the full restore (%dns)",
-			res.FirstReadNs, res.DrainNs)
-	}
-	b.Logf("pages=%d prep=%dms first-read=%dus reads-before-drain=%d/%d drain=%dms",
-		res.Pages, res.PrepNs/1e6, res.FirstReadNs/1e3,
-		res.ReadsBeforeDrain, res.ReadsTotal, res.DrainNs/1e6)
-}
-
-// BenchmarkE26RestartFirstReadLatency measures the time from a system
-// failure until the first read observes its acked data again (driver in
-// internal/restartbench, shared with `spfbench -benchjson`). The instant
-// variant prepares redo in O(active pages), returns from Restart before
-// redo completes, and pays only the read page's own chain replay; the
-// full-redo baseline (Options.Restore.Disabled) scans the log forward and
-// replays every dirty page before any read can run. Criterion: instant
-// must be ≥5x better.
-func BenchmarkE26RestartFirstReadLatency(b *testing.B) {
-	var instant, full restartbench.FirstReadResult
-	b.Run("instant", func(b *testing.B) {
-		instant = restartbench.FirstReadLatency(b, false)
-		b.ReportMetric(float64(instant.MeanNs), "first-read-ns")
-	})
-	b.Run("full-redo-baseline", func(b *testing.B) {
-		full = restartbench.FirstReadLatency(b, true)
-		b.ReportMetric(float64(full.MeanNs), "first-read-ns")
-	})
-	if instant.Iters > 0 && full.Iters > 0 {
-		if instant.Marked == 0 {
-			b.Fatalf("instant restart marked no pages: %+v", instant)
-		}
-		if full.MeanNs < 5*instant.MeanNs {
-			b.Fatalf("instant first read %dus not >=5x better than full redo %dus",
-				instant.MeanNs/1e3, full.MeanNs/1e3)
-		}
-		b.Logf("first read after crash: instant=%dus full-redo=%dus (%.1fx, %d pages marked)",
-			instant.MeanNs/1e3, full.MeanNs/1e3,
-			float64(full.MeanNs)/float64(instant.MeanNs), instant.Marked)
-	}
-}
-
-// BenchmarkE27ParallelRedoDrain measures bulk redo drain scaling (driver
-// in internal/restartbench): the needs-redo backlog an instant restart
-// enqueues is partitioned by page, so adding workers divides the drain
-// time. Criterion: 4 workers must drain ≥2x faster than 1.
-func BenchmarkE27ParallelRedoDrain(b *testing.B) {
-	results := map[int]restartbench.DrainResult{}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			results[workers] = restartbench.ParallelRedoDrain(b, workers)
-			b.ReportMetric(float64(results[workers].MeanNs), "drain-ns")
-		})
-	}
-	w1, w4 := results[1], results[4]
-	if w1.MeanNs > 0 && w4.MeanNs > 0 {
-		if w1.MeanNs < 2*w4.MeanNs {
-			b.Fatalf("4-worker drain %dms not >=2x faster than 1-worker %dms",
-				w4.MeanNs/1e6, w1.MeanNs/1e6)
-		}
-		b.Logf("drain %d pages: 1 worker=%dms, 4 workers=%dms (%.1fx)",
-			w1.Pages, w1.MeanNs/1e6, w4.MeanNs/1e6, float64(w1.MeanNs)/float64(w4.MeanNs))
-	}
-}
-
-// BenchmarkE30ServerThroughput measures resident point reads socket to
-// socket (driver in internal/serverbench, shared with `spfbench
-// -benchjson`): concurrent clients over loopback TCP against the wire
-// front end, zipfian keys, every request crossing real kernel sockets
-// through the framing layer, the worker pool, and the engine's optimistic
-// descent. The server-side request path is allocation-free for these
-// resident hits (Index.GetTo into per-connection buffers), so the ns/op is
-// dominated by syscalls plus the descent itself. The metric is the
-// round-trip p99 across all clients; the criterion is zero failed
-// requests at every client count.
-func BenchmarkE30ServerThroughput(b *testing.B) {
-	for _, clients := range []int{1, 16, 64} {
-		clients := clients
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			res := serverbench.Throughput(b, clients)
-			b.ReportMetric(float64(res.P99.Nanoseconds()), "p99-ns")
-		})
-	}
-}
-
-// BenchmarkE31ServeDuringRestoreDrain is E25 pushed through the serving
-// layer (driver in internal/serverbench): fail the device, run
-// instant-restore RecoverMedia, stand the wire server up over the
-// recovered database, and serve verified reads over a real socket while
-// the single background worker drains the bulk restore. The criterion is
-// the instant-restore availability story end to end: reads must complete
-// over the wire while pages are still pending, and the first wire read
-// must land far below the full drain time.
-func BenchmarkE31ServeDuringRestoreDrain(b *testing.B) {
-	res := serverbench.ServeDuringRestoreDrain(b)
-	b.ReportMetric(float64(res.ReadsBeforeDrain), "reads-before-drain")
-	b.ReportMetric(float64(res.FirstReadNs), "first-read-ns")
-	if res.ReadsBeforeDrain == 0 {
-		b.Fatalf("no wire reads completed before the bulk restore drained: %+v", res)
-	}
-	if res.FirstReadNs >= res.DrainNs {
-		b.Fatalf("first wire read (%dns) not faster than the full restore (%dns)",
-			res.FirstReadNs, res.DrainNs)
-	}
-	b.Logf("pages=%d first-read=%dus reads-before-drain=%d/%d drain=%dms",
-		res.Pages, res.FirstReadNs/1e3, res.ReadsBeforeDrain, res.ReadsTotal, res.DrainNs/1e6)
-}
-
-// BenchmarkE32ArchivedChainReplay measures one page's full-chain replay —
-// the single-page-recovery read path — at equal history depth before and
-// after the log lifecycle moves that history (driver in
-// internal/walbench, shared with `spfbench -benchjson`). The baseline
-// chases prev-LSN pointers through the live log, each hop a full
-// interleave round away; the archived variant reads the page's span of a
-// sorted, page-partitioned run after every live segment was recycled.
-// Criterion: archived replay must be no slower than the live seek path
-// (1.5x margin for runner noise; it measures faster on the CI box),
-// because repair latency must not degrade when history ages out of RAM.
-func BenchmarkE32ArchivedChainReplay(b *testing.B) {
-	var archNs, liveNs int64
-	b.Run("archived-runs", func(b *testing.B) {
-		walbench.ChainReplay(b, true)
-		if b.N > 1 {
-			archNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-	})
-	b.Run("live-seek-baseline", func(b *testing.B) {
-		walbench.ChainReplay(b, false)
-		if b.N > 1 {
-			liveNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-	})
-	if archNs > 0 && liveNs > 0 {
-		if 2*archNs > 3*liveNs {
-			b.Fatalf("archived chain replay %dns/op slower than live seek %dns/op beyond noise",
-				archNs, liveNs)
-		}
-		b.Logf("chain depth %d: archived=%dus live=%dus (%.2fx)",
-			walbench.ChainDepth, archNs/1e3, liveNs/1e3, float64(liveNs)/float64(archNs))
-	}
-}
-
-// BenchmarkE33MediaRestoreReplay measures media-restore preparation —
-// every page's chain replayed — at equal history depth, live vs archived
-// (driver in internal/walbench, shared with `spfbench -benchjson`). This
-// is where the sorted, page-partitioned layout pays most: the live
-// variant re-seeks the interleaved log once per page, while the archived
-// variant reads each page's history as one sequential span.
-func BenchmarkE33MediaRestoreReplay(b *testing.B) {
-	var archNs, liveNs int64
-	b.Run("archived-runs", func(b *testing.B) {
-		walbench.MediaRestoreReplay(b, true)
-		if b.N > 1 {
-			archNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-	})
-	b.Run("live-seek-baseline", func(b *testing.B) {
-		walbench.MediaRestoreReplay(b, false)
-		if b.N > 1 {
-			liveNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-	})
-	if archNs > 0 && liveNs > 0 {
-		if 2*archNs > 3*liveNs {
-			b.Fatalf("archived restore replay %dns/op slower than live %dns/op beyond noise",
-				archNs, liveNs)
-		}
-		b.Logf("%d pages x depth %d: archived=%dms live=%dms (%.2fx)",
-			walbench.ChainPages, walbench.ChainDepth, archNs/1e6, liveNs/1e6,
-			float64(liveNs)/float64(archNs))
-	}
-}
-
-// BenchmarkE34EnginePointOps measures per-op cost through the Engine seam
-// for both index kinds on the identical seeded workload (driver in
-// internal/enginebench, shared with `spfbench -benchjson`): pure point
-// reads into a reused buffer, and a mixed shape committing one single-op
-// update transaction per five ops. The comparison is the point — both
-// engines run the same request stream over the same shared stack
-// (checksummed pages, WAL, buffer pool), differing only in how they
-// organize keys.
-func BenchmarkE34EnginePointOps(b *testing.B) {
-	for _, kind := range []spf.IndexKind{spf.KindBTree, spf.KindHash} {
-		for _, mixed := range []bool{false, true} {
-			kind, mixed := kind, mixed
-			b.Run(enginebench.SubName(kind, enginebench.ShapeName(mixed)), func(b *testing.B) {
-				enginebench.PointOps(b, kind, mixed)
-			})
-		}
-	}
-}
-
-// BenchmarkE35EngineFaultRepair measures the repair-inclusive read latency
-// after persistent corruption of each engine's entry page — B-tree root or
-// hash directory (driver in internal/enginebench, shared with `spfbench
-// -benchjson`). Every iteration evicts and corrupts the page, then times
-// one read that must succeed through the shared online-repair path. The
-// driver fails the run if any fault escalates past single-page recovery,
-// so a passing benchmark is itself the parity proof: the unmodified repair
-// machinery serves both engines.
-func BenchmarkE35EngineFaultRepair(b *testing.B) {
-	for _, kind := range []spf.IndexKind{spf.KindBTree, spf.KindHash} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			res := enginebench.FaultRepair(b, kind)
-			b.ReportMetric(float64(res.P99.Nanoseconds()), "p99-ns")
-		})
+func BenchmarkEngine(b *testing.B) {
+	for _, r := range bench.Rows() {
+		b.Run(r.Name, r.Bench)
 	}
 }

@@ -1,33 +1,27 @@
 // Command spfbench regenerates every figure and quantitative claim of the
-// paper as text tables (experiment index in DESIGN.md).
+// paper as text tables, and records and gates the engine benchmarks
+// (ARCHITECTURE.md's bench table indexes both).
 //
 // Usage:
 //
-//	spfbench                      # run all experiments
+//	spfbench                      # run all experiments (E1-E16)
 //	spfbench E1 E10               # run selected experiments
 //	spfbench -list                # list experiment IDs
-//	spfbench -benchjson FILE      # run the engine micro-benchmarks
-//	                              # (E19 parallel append, E20 group
-//	                              # commit, E21 async write-back, E22
-//	                              # scrub overhead, E23 parallel tree
-//	                              # ops, E24 on-demand restore latency,
-//	                              # E25 media-recovery availability, E26
-//	                              # restart first-read latency, E27
-//	                              # parallel redo drain, E28 resident
-//	                              # read throughput, E29 mixed-workload
-//	                              # optimistic fallback, E30 wire-server
-//	                              # throughput, E31 serving during a
-//	                              # restore drain, E32 archived chain
-//	                              # replay, E33 media-restore replay,
-//	                              # E34 engine point ops, E35 engine
-//	                              # fault repair)
-//	                              # and write BENCH_*.json entries
+//	spfbench -benchjson FILE      # run the engine benchmark registry
+//	                              # (E17-E35, each row at its stated
+//	                              # GOMAXPROCS) and write BENCH_*.json
+//	                              # entries; exit nonzero if a row's
+//	                              # driver or shape check fails
 //	spfbench -benchcompare FILE -baselines A.json,B.json [-threshold 3]
 //	                              # compare a fresh -benchjson run against
 //	                              # the committed baselines; exit nonzero
-//	                              # on a regression beyond the threshold
-//	                              # or a benchmark missing from the fresh
-//	                              # run (the CI regression gate)
+//	                              # on a regression beyond the threshold,
+//	                              # a benchmark missing from or failed in
+//	                              # the fresh run, or a GOMAXPROCS
+//	                              # mismatch (the CI regression gate)
+//
+// Every experiment and benchmark fails the run when its result loses the
+// shape the paper or the engine claims.
 package main
 
 import (
@@ -38,597 +32,44 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/btreebench"
-	"repro/internal/enginebench"
+	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/maintbench"
 	"repro/internal/report"
-	"repro/internal/restartbench"
-	"repro/internal/restorebench"
-	"repro/internal/serverbench"
-	"repro/internal/wal"
-	"repro/internal/walbench"
-	"repro/spf"
 )
 
-type experiment struct {
-	id, title string
-	run       func() (*report.Table, error)
-}
-
-func all() []experiment {
-	return []experiment{
-		{"E1", "Figure 1 — failure scopes and escalation", func() (*report.Table, error) {
-			r, err := experiments.E01FailureEscalation(64)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E2", "Figure 2 — symmetric fence keys", func() (*report.Table, error) {
-			r, err := experiments.E02FenceInvariants(3000)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E3", "Figure 3 — Foster B-tree foster relationships", func() (*report.Table, error) {
-			r, err := experiments.E03FosterVerification(6000)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E4", "Figure 4 — optimized system recovery", func() (*report.Table, error) {
-			r, err := experiments.E04RedoOptimization(32)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E5", "Figure 5 — user vs system transactions", func() (*report.Table, error) {
-			r, err := experiments.E05SystemTxnOverhead(50, 40)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E6", "Figures 6+9 — per-page chain and PRI staleness", func() (*report.Table, error) {
-			r, err := experiments.E06PerPageChain(30)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E7", "Figure 7 — page recovery index size", func() (*report.Table, error) {
-			r, err := experiments.E07PRISize([]int{1000, 10000, 100000, 1000000})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E8", "Figure 8 — read-path detection outcomes", func() (*report.Table, error) {
-			r, err := experiments.E08ReadPathDetection()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E9", "Figure 9 — recovery readiness", func() (*report.Table, error) {
-			r, err := experiments.E09RecoveryReadiness()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E10", "Figure 10 + §6 — recovery latency vs chain length", func() (*report.Table, error) {
-			r, err := experiments.E10RecoveryLatency([]int{1, 10, 50, 200, 1000})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E11", "Figure 11 — PRI update sequence crash windows", func() (*report.Table, error) {
-			r, err := experiments.E11UpdateSequence()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E12", "Figure 12 — restart recovery actions", func() (*report.Table, error) {
-			r, err := experiments.E12RestartActions()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E13", "§6 — recovery time by failure class", func() (*report.Table, error) {
-			r, err := experiments.E13RecoveryTimeByClass(48)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E14", "§6 — backup policy sweep", func() (*report.Table, error) {
-			r, err := experiments.E14BackupPolicySweep([]int{10, 25, 100, 0}, 300)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E15", "§2 — mirroring baseline comparison", func() (*report.Table, error) {
-			r, err := experiments.E15MirrorBaseline(5000)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E16", "§1 — silent corruption campaign", func() (*report.Table, error) {
-			r, err := experiments.E16SilentCorruption(12)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-	}
-}
-
-// benchLabeled runs one benchmark under a pprof label, so any profile
-// taken of a spfbench run (-blockprofile here, or an external CPU profile)
-// attributes its samples to the benchmark that caused them. Combined with
-// the //go:noinline latch wrappers in internal/btree (latchBranch vs
-// latchLeaf), a block profile decomposes latch contention per descent
-// level: samples under latchBranch are root/interior contention the
-// optimistic descent should have absorbed, samples under latchLeaf are the
-// irreducible leaf-level serialization that mutations require.
-func benchLabeled(name string, f func(b *testing.B)) testing.BenchmarkResult {
-	var r testing.BenchmarkResult
-	pprof.Do(context.Background(), pprof.Labels("bench", name), func(context.Context) {
-		r = testing.Benchmark(f)
-	})
-	return r
-}
-
-// benchEntry is one BENCH_*.json record, comparable across PRs.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Ops         int     `json:"ops"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	Metric      float64 `json:"metric,omitempty"`
-	MetricName  string  `json:"metric_name,omitempty"`
-}
-
-// runBenchJSON measures the WAL hot paths with testing.Benchmark and
-// writes the entries as JSON, so CI and CHANGES.md baselines have one
-// machine-readable source. The drivers live in internal/walbench and are
-// the exact functions behind BenchmarkE19ParallelAppend/reserve-fill and
-// BenchmarkE20GroupCommitThroughput.
+// runBenchJSON measures the registry and writes its entries as JSON, so
+// CI and the committed baselines have one machine-readable source. The
+// file is written even when a row fails, so the failure is on record.
 func runBenchJSON(path string) error {
-	var entries []benchEntry
-
-	// E19: parallel append throughput of the reserve-then-fill log.
-	r := testing.Benchmark(walbench.ParallelAppend)
-	entries = append(entries, benchEntry{
-		Name:    "BenchmarkE19ParallelAppend/reserve-fill",
-		NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-		Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-	})
-
-	// E20: group-commit throughput and coalescing factor.
-	const committers = 32
-	for _, window := range []time.Duration{0, 500 * time.Microsecond} {
-		var stats wal.Stats
-		r := testing.Benchmark(func(b *testing.B) {
-			stats = walbench.GroupCommit(b, window, committers)
-		})
-		e := benchEntry{
-			Name:    fmt.Sprintf("BenchmarkE20GroupCommitThroughput/window=%v", window),
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
-		if stats.Flushes > 0 {
-			e.Metric = float64(r.N) / float64(stats.Flushes)
-			e.MetricName = "commits/flush"
-		}
-		entries = append(entries, e)
-	}
-
-	// E21: dirty-page flush throughput, synchronous write-through vs the
-	// maintenance subsystem's batched async write-back. The metric is the
-	// write amplification (device writes per update); async coalescing
-	// drives it far below the synchronous 1.0.
-	for _, async := range []bool{false, true} {
-		var res maintbench.WriteBackResult
-		r := testing.Benchmark(func(b *testing.B) {
-			res = maintbench.WriteBack(b, async, 1)
-		})
-		name := "BenchmarkE21AsyncWriteBack/sync"
-		if async {
-			name = "BenchmarkE21AsyncWriteBack/async"
-		}
-		e := benchEntry{
-			Name:    name,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
-		if res.Updates > 0 {
-			e.Metric = float64(res.DeviceWrites) / float64(res.Updates)
-			e.MetricName = "writes/update"
-		}
-		entries = append(entries, e)
-	}
-
-	// E22: foreground fetch cost with the scrub campaign off vs scanning
-	// 50k pages/s with live repairs underneath.
-	for _, rate := range []int{0, 50000} {
-		var res maintbench.ScrubResult
-		r := testing.Benchmark(func(b *testing.B) {
-			res = maintbench.ScrubOverhead(b, rate)
-		})
-		name := "BenchmarkE22ScrubCampaignOverhead/off"
-		if rate > 0 {
-			name = "BenchmarkE22ScrubCampaignOverhead/on"
-		}
-		e := benchEntry{
-			Name:    name,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
-		if rate > 0 {
-			e.Metric = float64(res.PagesScrubbed)
-			e.MetricName = "pages-scrubbed"
-		}
-		entries = append(entries, e)
-	}
-
-	// E23: concurrent B-tree mixed ops, latch-coupled vs the tree-global-
-	// mutex baseline shim, in disjoint and contended key shapes. The
-	// numbers depend strongly on the degree of parallelism (the disjoint
-	// shape's buffer-miss stalls overlap across workers), so the run is
-	// pinned to GOMAXPROCS=8 — the -cpu 8 shape the baselines were
-	// recorded at — to stay comparable across differently-sized runners.
-	prevProcs := runtime.GOMAXPROCS(8)
-	for _, v := range []struct {
-		shape       string
-		contended   bool
-		globalMutex bool
-	}{
-		{"disjoint/latch-coupled", false, false},
-		{"disjoint/global-mutex", false, true},
-		{"contended/latch-coupled", true, false},
-		{"contended/global-mutex", true, true},
-	} {
-		r := benchLabeled("E23/"+v.shape, btreebench.ParallelOps(v.contended, v.globalMutex))
-		entries = append(entries, benchEntry{
-			Name:    "BenchmarkE23ParallelTreeOps/" + v.shape,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		})
-	}
-
-	// E28: resident point reads, optimistic (skeleton-cached, lock-free
-	// branch levels) vs the PR 4 shared-latch crab, zipfian and uniform.
-	// Same GOMAXPROCS=8 pin as E23: the optimistic win is parallelism-
-	// dependent. The metric is the optimistic hit fraction (1.0 = every
-	// descent completed without falling back to the latched path).
-	for _, v := range []struct {
-		shape            string
-		zipf, optimistic bool
-	}{
-		{"zipfian/optimistic", true, true},
-		{"zipfian/latched", true, false},
-		{"uniform/optimistic", false, true},
-		{"uniform/latched", false, false},
-	} {
-		var res btreebench.ResidentReadResult
-		r := benchLabeled("E28/"+v.shape, func(b *testing.B) {
-			res = btreebench.ResidentReads(b, v.zipf, v.optimistic)
-		})
-		e := benchEntry{
-			Name:    "BenchmarkE28ResidentReadThroughput/" + v.shape,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
-		if total := res.Hits + res.Fallbacks; total > 0 {
-			e.Metric = float64(res.Hits) / float64(total)
-			e.MetricName = "optimistic-hit-fraction"
-		}
-		entries = append(entries, e)
-	}
-
-	// E29: the E23 mixed read/write workload with the optimistic descent
-	// on vs off — writers bump frame versions constantly, so optimistic
-	// readers keep falling back; the pair proves the fallback costs no
-	// more than the pure latched path.
-	for _, v := range []struct {
-		shape                 string
-		contended, optimistic bool
-	}{
-		{"contended/optimistic", true, true},
-		{"contended/latched", true, false},
-		{"disjoint/optimistic", false, true},
-		{"disjoint/latched", false, false},
-	} {
-		r := benchLabeled("E29/"+v.shape, btreebench.MixedReadWrite(v.contended, v.optimistic))
-		entries = append(entries, benchEntry{
-			Name:    "BenchmarkE29MixedFallback/" + v.shape,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		})
-	}
-	runtime.GOMAXPROCS(prevProcs)
-
-	// E24: urgent-promotion repair latency vs the FIFO-queue baseline
-	// under a saturated background queue (disjoint-fault shape). The p99
-	// metric is the criterion number: priority must be ≥2x better.
-	for _, fifo := range []bool{false, true} {
-		var lres restorebench.LatencyResult
-		r := testing.Benchmark(func(b *testing.B) {
-			lres = restorebench.OnDemandLatency(b, fifo)
-		})
-		name := "BenchmarkE24OnDemandRestoreLatency/priority"
-		if fifo {
-			name = "BenchmarkE24OnDemandRestoreLatency/fifo-baseline"
-		}
-		entries = append(entries, benchEntry{
-			Name:    name,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-			Metric: float64(lres.P99.Nanoseconds()), MetricName: "p99-ns",
-		})
-	}
-
-	// E25: reads served during media recovery (instant restore). The
-	// metric counts foreground reads that completed while the background
-	// bulk restore still had pending pages.
-	var ares restorebench.AvailabilityResult
-	r = testing.Benchmark(func(b *testing.B) {
-		ares = restorebench.MediaAvailability(b)
-	})
-	entries = append(entries, benchEntry{
-		Name:    "BenchmarkE25MediaRecoveryAvailability",
-		NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-		Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		Metric: float64(ares.ReadsBeforeDrain), MetricName: "reads-before-drain",
-	})
-
-	// E26: time from crash until the first read observes acked data —
-	// instant restart (on-demand redo) vs the synchronous full-redo
-	// baseline. The metric is the criterion number: instant must be ≥5x
-	// better.
-	for _, full := range []bool{false, true} {
-		var fres restartbench.FirstReadResult
-		r := testing.Benchmark(func(b *testing.B) {
-			fres = restartbench.FirstReadLatency(b, full)
-		})
-		name := "BenchmarkE26RestartFirstReadLatency/instant"
-		if full {
-			name = "BenchmarkE26RestartFirstReadLatency/full-redo-baseline"
-		}
-		entries = append(entries, benchEntry{
-			Name:    name,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-			Metric: float64(fres.MeanNs), MetricName: "first-read-ns",
-		})
-	}
-
-	// E27: bulk redo drain scaling — the backlog is partitioned by page,
-	// so 4 workers must drain ≥2x faster than 1.
-	for _, workers := range []int{1, 4} {
-		var dres restartbench.DrainResult
-		r := testing.Benchmark(func(b *testing.B) {
-			dres = restartbench.ParallelRedoDrain(b, workers)
-		})
-		entries = append(entries, benchEntry{
-			Name:    fmt.Sprintf("BenchmarkE27ParallelRedoDrain/workers=%d", workers),
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-			Metric: float64(dres.MeanNs), MetricName: "drain-ns",
-		})
-	}
-
-	// E30: resident point reads socket to socket through the wire front
-	// end — concurrent loopback clients, zipfian keys, every request
-	// crossing real kernel sockets. The metric is the round-trip p99
-	// across all clients.
-	for _, clients := range []int{1, 16, 64} {
-		var tres serverbench.ThroughputResult
-		r := testing.Benchmark(func(b *testing.B) {
-			tres = serverbench.Throughput(b, clients)
-		})
-		entries = append(entries, benchEntry{
-			Name:    fmt.Sprintf("BenchmarkE30ServerThroughput/clients=%d", clients),
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-			Metric: float64(tres.P99.Nanoseconds()), MetricName: "p99-ns",
-		})
-	}
-
-	// E31: wire reads served during a media-restore drain — instant
-	// restore pushed through the serving layer. The metric counts reads
-	// that completed while the bulk restore still had pending pages.
-	var sres serverbench.DrainServeResult
-	r = testing.Benchmark(func(b *testing.B) {
-		sres = serverbench.ServeDuringRestoreDrain(b)
-	})
-	entries = append(entries, benchEntry{
-		Name:    "BenchmarkE31ServeDuringRestoreDrain",
-		NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-		Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		Metric: float64(sres.ReadsBeforeDrain), MetricName: "reads-before-drain",
-	})
-
-	// E32/E33: chain replay and media-restore prep at equal history depth,
-	// live-log pointer chase vs sorted archived runs after recycling. The
-	// metric is the live/archived speedup — ≥1.0 means moving history into
-	// the archive never slowed its replay.
-	lifecycle := []struct {
-		name     string
-		archived bool
-		driver   func(*testing.B, bool)
-	}{
-		{"BenchmarkE32ArchivedChainReplay/archived-runs", true, walbench.ChainReplay},
-		{"BenchmarkE32ArchivedChainReplay/live-seek-baseline", false, walbench.ChainReplay},
-		{"BenchmarkE33MediaRestoreReplay/archived-runs", true, walbench.MediaRestoreReplay},
-		{"BenchmarkE33MediaRestoreReplay/live-seek-baseline", false, walbench.MediaRestoreReplay},
-	}
-	lifecycleNs := map[string]float64{}
-	for _, v := range lifecycle {
-		v := v
-		r := benchLabeled(v.name, func(b *testing.B) { v.driver(b, v.archived) })
-		lifecycleNs[v.name] = float64(r.NsPerOp())
-		entries = append(entries, benchEntry{
-			Name:    v.name,
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-		})
-	}
-	for i := range entries {
-		base, ok := strings.CutSuffix(entries[i].Name, "/archived-runs")
-		if !ok {
-			continue
-		}
-		if live := lifecycleNs[base+"/live-seek-baseline"]; live > 0 && entries[i].NsPerOp > 0 {
-			entries[i].Metric = live / entries[i].NsPerOp
-			entries[i].MetricName = "live/archived-speedup"
-		}
-	}
-
-	// E34: per-engine point ops through the Engine seam — both index
-	// kinds replay the identical seeded request stream over the shared
-	// stack, pure reads and a commit-per-five-ops mixed shape.
-	for _, kind := range []spf.IndexKind{spf.KindBTree, spf.KindHash} {
-		for _, mixed := range []bool{false, true} {
-			kind, mixed := kind, mixed
-			sub := enginebench.SubName(kind, enginebench.ShapeName(mixed))
-			r := benchLabeled("E34/"+sub, func(b *testing.B) {
-				enginebench.PointOps(b, kind, mixed)
-			})
-			entries = append(entries, benchEntry{
-				Name:    "BenchmarkE34EnginePointOps/" + sub,
-				NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-				Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-			})
-		}
-	}
-
-	// E35: repair-inclusive read latency after persistent corruption of
-	// each engine's entry page (B-tree root, hash directory), repaired
-	// online by the shared restore path. The driver fails on any
-	// escalation, so these entries double as the parity criterion. The
-	// metric is the repair-read p99.
-	for _, kind := range []spf.IndexKind{spf.KindBTree, spf.KindHash} {
-		kind := kind
-		var rres enginebench.RepairResult
-		r := benchLabeled("E35/"+kind.String(), func(b *testing.B) {
-			rres = enginebench.FaultRepair(b, kind)
-		})
-		entries = append(entries, benchEntry{
-			Name:    "BenchmarkE35EngineFaultRepair/" + kind.String(),
-			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
-			Ops: r.N, GoMaxProcs: runtime.GOMAXPROCS(0),
-			Metric: float64(rres.P99.Nanoseconds()), MetricName: "p99-ns",
-		})
-	}
-
+	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	entries, runErr := bench.Measure(bench.Rows(), logf)
 	data, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// loadBenchEntries reads one BENCH_*.json file.
-func loadBenchEntries(path string) ([]benchEntry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []benchEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return entries, nil
-}
-
-// runBenchCompare is the CI regression gate: every benchmark present in a
-// baseline file must exist in the fresh run and be no slower than
-// threshold times its baseline ns/op. The threshold is deliberately
-// generous — shared CI runners are noisy — so only real regressions (or
-// benchmarks rotting out of the tracked set) fail the gate. Fresh entries
-// without a baseline are reported but pass: they are new benchmarks whose
-// baseline lands with the PR that adds them.
-func runBenchCompare(freshPath string, baselinePaths []string, threshold float64) error {
-	fresh, err := loadBenchEntries(freshPath)
-	if err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	freshByName := make(map[string]benchEntry, len(fresh))
-	for _, e := range fresh {
-		freshByName[e.Name] = e
-	}
-	var failures []string
-	compared := make(map[string]bool)
-	for _, bp := range baselinePaths {
-		baseline, err := loadBenchEntries(bp)
-		if err != nil {
-			return err
-		}
-		for _, base := range baseline {
-			compared[base.Name] = true
-			got, ok := freshByName[base.Name]
-			if !ok {
-				failures = append(failures,
-					fmt.Sprintf("%s: in baseline %s but missing from fresh run (benchmark rotted out of the tracked set?)", base.Name, bp))
-				continue
-			}
-			ratio := 0.0
-			if base.NsPerOp > 0 {
-				ratio = got.NsPerOp / base.NsPerOp
-			}
-			status := "ok"
-			if base.NsPerOp > 0 && got.NsPerOp > threshold*base.NsPerOp {
-				status = "REGRESSION"
-				failures = append(failures,
-					fmt.Sprintf("%s: %.1f ns/op vs baseline %.1f (%.2fx > %.2fx threshold)",
-						base.Name, got.NsPerOp, base.NsPerOp, ratio, threshold))
-			}
-			fmt.Printf("%-55s base=%10.1f fresh=%10.1f ratio=%5.2fx  %s\n",
-				base.Name, base.NsPerOp, got.NsPerOp, ratio, status)
-		}
-	}
-	for _, e := range fresh {
-		if !compared[e.Name] {
-			fmt.Printf("%-55s (new benchmark, no baseline yet)\n", e.Name)
-		}
-	}
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "\nbench regression gate failed:\n")
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  - %s\n", f)
-		}
-		return fmt.Errorf("%d benchmark failure(s)", len(failures))
-	}
-	fmt.Printf("\nbench regression gate passed (threshold %.1fx)\n", threshold)
-	return nil
+	return runErr
 }
 
 func main() {
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	benchJSON := flag.String("benchjson", "", "run the engine micro-benchmarks and write BENCH entries to this JSON file")
-	benchCompare := flag.String("benchcompare", "", "compare this fresh -benchjson file against -baselines (CI regression gate)")
-	baselines := flag.String("baselines", "", "comma-separated committed BENCH_*.json baselines for -benchcompare")
-	threshold := flag.Float64("threshold", 3.0, "allowed ns/op slowdown factor for -benchcompare (generous: CI runners are noisy)")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile of the whole run to this file; with the noinline latch wrappers (btree latchBranch/latchLeaf) and the per-benchmark pprof labels, latch contention is attributable per descent level")
-	flag.Parse()
+	// testing.Benchmark needs the testing flags registered; without them a
+	// driver's b.Fatal panics instead of failing its row. Init registers
+	// them on flag.CommandLine, which stays unparsed: spfbench parses its
+	// own flags from a separate set, so its command line is unchanged.
+	testing.Init()
+	flags := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	list := flags.Bool("list", false, "list experiment IDs and exit")
+	benchJSON := flags.String("benchjson", "", "run the engine micro-benchmarks and write BENCH entries to this JSON file")
+	benchCompare := flags.String("benchcompare", "", "compare this fresh -benchjson file against -baselines (CI regression gate)")
+	baselines := flags.String("baselines", "", "comma-separated committed BENCH_*.json baselines for -benchcompare")
+	threshold := flags.Float64("threshold", 3.0, "allowed ns/op slowdown factor for -benchcompare (generous: CI runners are noisy)")
+	blockProfile := flags.String("blockprofile", "", "write a goroutine blocking profile of the whole run to this file; with the noinline latch wrappers (btree latchBranch/latchLeaf) and the per-benchmark pprof labels, latch contention is attributable per descent level")
+	flags.Parse(os.Args[1:]) // ExitOnError: a bad flag exits here
 	if *blockProfile != "" {
 		runtime.SetBlockProfileRate(1)
 		defer func() {
@@ -658,51 +99,43 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-benchcompare requires -baselines")
 			os.Exit(2)
 		}
-		if err := runBenchCompare(*benchCompare, strings.Split(*baselines, ","), *threshold); err != nil {
+		if err := bench.Compare(os.Stdout, *benchCompare, strings.Split(*baselines, ","), *threshold); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcompare: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	exps := all()
+	exps := experiments.All()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-5s %s\n", e.id, e.title)
+			fmt.Printf("%-5s %s\n", e.ID, e.Title)
 		}
 		return
 	}
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
+	for _, a := range flags.Args() {
 		want[strings.ToUpper(a)] = true
 	}
-	sort.SliceStable(exps, func(i, j int) bool { return numOf(exps[i].id) < numOf(exps[j].id) })
 	failed := 0
 	for _, e := range exps {
-		if len(want) > 0 && !want[e.id] {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		fmt.Printf("== %s: %s ==\n", e.id, e.title)
+		fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
 		var t *report.Table
 		var err error
-		pprof.Do(context.Background(), pprof.Labels("experiment", e.id), func(context.Context) {
-			t, err = e.run()
+		pprof.Do(context.Background(), pprof.Labels("experiment", e.ID), func(context.Context) {
+			t, err = e.Run()
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
-			failed++
-			continue
+		if t != nil {
+			fmt.Print(t.String())
 		}
-		fmt.Print(t.String())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
+			failed++
+		}
 	}
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-func numOf(id string) int {
-	n := 0
-	for _, c := range id[1:] {
-		n = n*10 + int(c-'0')
-	}
-	return n
 }

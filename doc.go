@@ -11,8 +11,8 @@
 // internal/. Two storage engines — the Foster B-tree and a page-based
 // linear-hashing table (internal/hashindex) — sit behind one Engine seam
 // in spf, sharing the pool, WAL, and every recovery path; see the spf
-// package doc for choosing between them, and internal/enginebench for
-// the side-by-side comparison harness (E34/E35). The
+// package doc for choosing between them, and internal/bench for the
+// side-by-side comparison harness (E34/E35). The
 // experiment harness reproducing every figure and quantitative claim of
 // the paper lives in internal/experiments, driven by bench_test.go at this
 // root and by cmd/spfbench.
@@ -356,13 +356,16 @@
 // over a real socket while the media-restore backlog drains.
 //
 // CI runs a benchmark-regression gate on every PR: `spfbench -benchjson`
-// regenerates the tracked set (E19-E35) and `spfbench -benchcompare`
-// fails the build if any entry regresses more than 3x against the
-// committed BENCH_wal.json / BENCH_maintenance.json / BENCH_btree.json /
-// BENCH_restore.json / BENCH_restart.json / BENCH_server.json /
-// BENCH_lifecycle.json / BENCH_engine.json baselines or drops out of the
-// tracked set. A fuzz job runs the native fuzzers (server frame reader,
-// request parser, hash page decoder) on a short budget. A
+// runs every row of the internal/bench registry (E17-E35) at the
+// GOMAXPROCS the row states, failing on any driver or shape-check
+// failure, and `spfbench -benchcompare` fails the build if any entry
+// regresses more than 3x against the committed BENCH_wal.json /
+// BENCH_maintenance.json / BENCH_btree.json / BENCH_restore.json /
+// BENCH_restart.json / BENCH_server.json / BENCH_lifecycle.json /
+// BENCH_engine.json baselines, was not measured, ran at a different
+// GOMAXPROCS than its baseline, or drops out of the tracked set. A fuzz
+// job runs the native fuzzers (server frame reader, request parser, hash
+// page decoder, WAL record decoder) on a short budget. A
 // chaos job runs the seeded torture matrix under the race detector, the
 // examples job smoke-runs spfserver under a short spfload ramp, and a
 // soak job runs spfserver with the log lifecycle on under sustained

@@ -1,20 +1,19 @@
-// Package btreebench holds the shared driver for the concurrent B-tree
-// benchmark (E23 parallel tree ops). Both the root bench_test.go (go test
-// -bench) and cmd/spfbench -benchjson run these same functions, so the
-// numbers in BENCH_btree.json always measure exactly what CI smoke-tests.
-//
-// The driver compares the latch-coupled tree against a tree-global-mutex
-// baseline shim — the seed's serialization discipline (all writers behind
-// one writer lock, readers behind its read side) reproduced on top of the
+package bench
+
+// The B-tree drivers (E23, E28, E29) run against a minimal engine. E23
+// compares the latch-coupled tree against a tree-global-mutex baseline
+// shim — the seed's serialization discipline (all writers behind one
+// writer lock, readers behind its read side) reproduced on top of the
 // identical tree — under a mixed Get/Insert/Update/Delete workload in two
 // shapes: disjoint (each worker owns its key range, the scalable case) and
 // contended (every worker hammers one shared range).
-package btreebench
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,7 +46,8 @@ type pager struct {
 	missLatency time.Duration
 }
 
-func newPager(pageSize, slots, frames int) *pager {
+func newPager(frames int) *pager {
+	const pageSize, slots = 1024, 1 << 18
 	p := &pager{
 		dev:  storage.NewDevice(storage.Config{PageSize: pageSize, Slots: slots, Profile: iosim.Instant}),
 		pmap: pagemap.New(pagemap.InPlace, slots),
@@ -174,42 +174,47 @@ func benchKey(shard, i int) []byte {
 	return []byte(fmt.Sprintf("r%02d-%06d", shard, i))
 }
 
-// ParallelOps returns a benchmark function running the mixed workload: 30%
-// Get, 50% Update, 10% Insert, 10% Delete per worker, against either the
-// latch-coupled tree (globalMutex=false) or the baseline shim. contended
-// selects whether workers share one key range or own disjoint ranges. The
-// tree runs in its default configuration (optimistic descent on).
-func ParallelOps(contended, globalMutex bool) func(b *testing.B) {
-	return parallelOps(contended, globalMutex, true)
+// newTree creates a B-tree over a fresh pager with the given pool size and
+// commits shards*baseKeys keys benchKey(s, i)→val in one transaction.
+func newTree(b *testing.B, frames, shards int, val []byte) (*pager, *btree.Tree) {
+	b.Helper()
+	p := newPager(frames)
+	st := p.txns.BeginSystem()
+	tr, err := btree.Create(st, "bench", p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	load := p.txns.Begin()
+	for s := 0; s < shards; s++ {
+		for i := 0; i < baseKeys; i++ {
+			if err := tr.Insert(load, benchKey(s, i), val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := load.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	return p, tr
 }
 
-func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		p := newPager(1024, 1<<18, poolFrames)
-		st := p.txns.BeginSystem()
-		tr, err := btree.Create(st, "bench", p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		tr.SetOptimistic(optimistic)
+// parallelOps returns a driver running the mixed workload: 30% Get, 50%
+// Update, 10% Insert, 10% Delete per worker, against either the
+// latch-coupled tree (globalMutex=false) or the baseline shim. contended
+// selects whether workers share one key range or own disjoint ranges.
+// E23 runs the tree in its default configuration (optimistic descent on);
+// E29 toggles the descent on the latch-coupled tree.
+func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) Result {
+	return func(b *testing.B) Result {
 		shards := maxWorkers
 		if contended {
 			shards = 1
 		}
-		load := p.txns.Begin()
-		for s := 0; s < shards; s++ {
-			for i := 0; i < baseKeys; i++ {
-				if err := tr.Insert(load, benchKey(s, i), []byte("v0")); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		if err := load.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		p, tr := newTree(b, poolFrames, shards, []byte("v0"))
+		tr.SetOptimistic(optimistic)
 		p.missLatency = missLatency // charge misses only after the preload
 		var ops treeOps = tr
 		if globalMutex {
@@ -280,5 +285,92 @@ func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) {
 			}
 		})
 		b.StopTimer()
+		return Result{}
+	}
+}
+
+const (
+	// residentShards sizes the E28 key space: residentShards*baseKeys keys
+	// build a three-level tree (root, interior branches, leaves) so the
+	// optimistic descent routes through more than one cached skeleton.
+	residentShards = 32
+	// residentFrames keeps the whole tree resident: E28 measures the pure
+	// in-memory read path, no buffer misses, no charged I/O latency.
+	residentFrames = 4096
+)
+
+// residentReads is the E28 driver: point reads against a fully resident,
+// static three-level tree — the regime the decoded-skeleton cache and
+// optimistic latch coupling target. zipfian selects the key distribution
+// (a Zipf(1.2) skew concentrates traffic on few hot leaves, the shape
+// where root/branch latch traffic hurts most; uniform spreads it).
+// optimistic toggles the descent: true is the lock-free version-validated
+// path (sub-µs, zero allocations per op via GetTo into a reused buffer),
+// false forces the shared-latch crab on every level. Criterion:
+// optimistic ≥3× the latched baseline at -cpu 8, with 0 allocs/op on the
+// hit path, and hits must dwarf fallbacks on this static tree. The metric
+// is the optimistic hit fraction (1.0 = every descent completed without
+// falling back to the latched path).
+func residentReads(zipfian, optimistic bool) func(*testing.B) Result {
+	return func(b *testing.B) Result {
+		_, tr := newTree(b, residentFrames, residentShards, []byte("value-00000000"))
+		tr.SetOptimistic(optimistic)
+		keys := make([][]byte, 0, residentShards*baseKeys)
+		for s := 0; s < residentShards; s++ {
+			for i := 0; i < baseKeys; i++ {
+				keys = append(keys, benchKey(s, i))
+			}
+		}
+		// Warm pass: faults every page in and (when optimistic) builds the
+		// branch skeleton caches, so the timed region measures steady state.
+		for _, k := range keys {
+			if _, err := tr.Get(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n := uint64(len(keys))
+		var widGen atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			wid := uint64(widGen.Add(1))
+			var zipf *rand.Zipf
+			if zipfian {
+				zipf = rand.NewZipf(rand.New(rand.NewSource(int64(wid))), 1.2, 1, n-1)
+			}
+			rng := wid*0x9E3779B97F4A7C15 + 1
+			buf := make([]byte, 0, 64)
+			for pb.Next() {
+				var i uint64
+				if zipfian {
+					i = zipf.Uint64()
+				} else {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					i = rng % n
+				}
+				var err error
+				buf, err = tr.GetTo(buf[:0], keys[i])
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		var res Result
+		hits, fallbacks := tr.OptimisticStats()
+		if total := hits + fallbacks; total > 0 {
+			res.Metric = float64(hits) / float64(total)
+		}
+		if optimistic && b.N > 1000 {
+			if hits == 0 {
+				res.Err = errors.New("optimistic descent never completed on a static tree")
+			} else if fallbacks*100 > hits {
+				res.Err = fmt.Errorf("fallbacks %d vs hits %d: >1%% on a static resident tree", fallbacks, hits)
+			}
+		}
+		return res
 	}
 }

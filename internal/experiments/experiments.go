@@ -1,7 +1,8 @@
 // Package experiments implements the reproduction harness: one function
-// per figure/table of the paper (experiment index in DESIGN.md). Each
-// returns a rendered table plus structured results that bench_test.go
-// asserts shape properties on (who wins, by roughly what factor).
+// per figure/table of the paper (indexed in ARCHITECTURE.md's bench
+// table). Each returns a rendered table plus structured results, and All
+// pairs each with the shape properties its result must have (who wins, by
+// roughly what factor).
 package experiments
 
 import (

@@ -518,7 +518,8 @@ func E12RestartActions() (*E12Result, error) {
 
 var errShape = errors.New("experiments: result violates expected shape")
 
-// sanity helper re-exported for bench assertions.
+// ShapeCheck returns nil when cond holds, and otherwise an error saying
+// the result violates its expected shape, described by format and args.
 func ShapeCheck(cond bool, format string, args ...any) error {
 	if cond {
 		return nil
